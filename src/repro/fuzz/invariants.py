@@ -25,7 +25,7 @@ flags any disagreement:
 * **work parity** — the work counters of
   :data:`repro.core.stats.WORK_PARITY_FIELDS` (relaxations, heap
   pushes/pops, settled nodes, TestLB verdicts, …) agree *exactly*
-  across the dict, flat, and native kernels: the three substrates
+  across the dict and flat kernels: the two substrates
   claim to run the same algorithm, so they must do the same work,
   not just return the same lengths.
 

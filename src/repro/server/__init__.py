@@ -18,14 +18,21 @@ shared :func:`repro.server.epoch.service_epoch`.
 
 from repro.server.epoch import service_epoch
 from repro.server.pool import BatchQuery, run_batch
-from repro.server.service import DeadlineExceeded, QueryService
+from repro.server.service import (
+    DeadlineExceeded,
+    QueryService,
+    ServiceOverloaded,
+    WorkerDied,
+)
 from repro.server.shared import SharedCSR, active_segments
 
 __all__ = [
     "BatchQuery",
     "DeadlineExceeded",
     "QueryService",
+    "ServiceOverloaded",
     "SharedCSR",
+    "WorkerDied",
     "active_segments",
     "run_batch",
     "service_epoch",

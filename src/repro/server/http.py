@@ -18,9 +18,11 @@ tiny and JSON-first:
   snapshot, query id, and the epoch-rebased serving timing.
 
 Error mapping keeps the service's failure taxonomy visible to load
-generators: admission shedding → ``429``, a lapsed deadline → ``504``,
-any other ``QueryError`` (bad category, malformed body) → ``400``,
-worker death mid-query → ``500``.
+generators and is chosen by exception type: admission shedding
+(``ServiceOverloaded``) → ``429``, a lapsed deadline
+(``DeadlineExceeded``) → ``504``, worker death mid-query
+(``WorkerDied``) → ``500``, any other ``QueryError`` (bad category) or
+a malformed body or ``Content-Length`` → ``400``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ import json
 import signal
 
 from repro.exceptions import QueryError
-from repro.server.service import DeadlineExceeded, QueryService
+from repro.server.service import (
+    DeadlineExceeded,
+    QueryService,
+    ServiceOverloaded,
+    WorkerDied,
+)
 
 __all__ = ["run_server", "serve_forever"]
 
@@ -72,11 +79,12 @@ async def _handle_query(service: QueryService, body: bytes) -> bytes:
         result = await service.asubmit(fields, timeout_s=timeout_s)
     except DeadlineExceeded as exc:
         return _json_response(504, {"error": str(exc)})
+    except ServiceOverloaded as exc:
+        return _json_response(429, {"error": str(exc)})
+    except WorkerDied as exc:
+        return _json_response(500, {"error": str(exc)})
     except QueryError as exc:
-        status = 429 if "service overloaded" in str(exc) else 400
-        if "died mid-query" in str(exc):
-            status = 500
-        return _json_response(status, {"error": str(exc)})
+        return _json_response(400, {"error": str(exc)})
     return _json_response(200, result.to_dict())
 
 
@@ -88,20 +96,28 @@ async def _handle(service: QueryService, reader, writer) -> None:
             return
         method, path = parts[0], parts[1]
         content_length = 0
+        bad_length = None
         while True:
             line = await reader.readline()
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("ascii", "replace").partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    content_length = 0
-        body = (
-            await reader.readexactly(content_length) if content_length else b""
-        )
-        if method == "GET" and path == "/healthz":
+                value = value.strip()
+                if value.isdigit():
+                    content_length = int(value)
+                else:
+                    bad_length = value
+        body = b""
+        if content_length and bad_length is None:
+            body = await reader.readexactly(content_length)
+        if bad_length is not None:
+            # A negative or non-numeric length leaves the body's extent
+            # unknown: answer without reading it (the connection closes).
+            out = _json_response(
+                400, {"error": f"invalid Content-Length {bad_length!r}"}
+            )
+        elif method == "GET" and path == "/healthz":
             out = _json_response(
                 200,
                 {

@@ -151,14 +151,8 @@ def _warm_cache(solver, queries: Sequence[BatchQuery]) -> None:
     entry (bounds, ``G_Q`` overlay, CSR export under the flat kernel)
     built in the parent, so each worker inherits a hot cache instead
     of rebuilding it ``workers`` times.  Invalid queries are left for
-    the workers to report in order.  A ``native`` solver additionally
-    compiles its JIT kernels here (idempotent), so every forked worker
-    inherits warm machine code and no query pays compilation latency.
+    the workers to report in order.
     """
-    if getattr(solver, "kernel", None) == "native":
-        from repro.pathing import native
-
-        native.warmup_jit()
     seen: set = set()
     for q in queries:
         key = (q.category, q.destinations)

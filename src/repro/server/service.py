@@ -1,8 +1,7 @@
 """Long-lived query service: resident workers over shared-memory CSR.
 
 The fork-per-batch pool (:mod:`repro.server.pool`) re-pays warm-up —
-JIT compilation, landmark residency, prepared-category construction —
-on every batch, because nothing survives between pools.
+landmark residency, prepared-category construction — on every batch, because nothing survives between pools.
 :class:`QueryService` inverts that: worker processes are spawned
 **once**, hold the CSR graph arrays in
 :mod:`multiprocessing.shared_memory` segments (one physical copy for
@@ -68,11 +67,25 @@ from repro.server.epoch import service_epoch
 from repro.server.pool import BatchQuery, _coerce, _execute
 from repro.server.shared import SharedCSR
 
-__all__ = ["DeadlineExceeded", "QueryService", "run_service_batch"]
+__all__ = [
+    "DeadlineExceeded",
+    "QueryService",
+    "ServiceOverloaded",
+    "WorkerDied",
+    "run_service_batch",
+]
 
 
 class DeadlineExceeded(QueryError):
     """A query's deadline lapsed at a cooperative cancellation point."""
+
+
+class ServiceOverloaded(QueryError):
+    """Admission control shed the request: ``max_pending`` is reached."""
+
+
+class WorkerDied(QueryError):
+    """The resident worker running the request died; it was respawned."""
 
 
 #: Solver and shared-CSR handle inherited by forked workers.  Set only
@@ -340,7 +353,7 @@ class QueryService:
         )
         for index in range(self.workers):
             self._residents.append(self._spawn(ctx, index))
-        # One-time cost — JIT, shared-memory export, prewarm, forks —
+        # One-time cost — shared-memory export, prewarm, forks —
         # lands under the same ``warmup`` phase the batch pool uses,
         # so "paid once at startup" is visible in the exposition.
         self.metrics.observe_phase("warmup", perf_counter() - t0)
@@ -353,10 +366,6 @@ class QueryService:
             # snapshots; removed again at shutdown.
             solver.metrics = MetricsRegistry()
             self._own_metrics = True
-        if getattr(solver, "kernel", None) == "native":
-            from repro.pathing import native
-
-            native.warmup_jit()
         from repro.graph.csr import shared_csr
 
         # Export the in-process CSR into shared segments and point the
@@ -533,7 +542,7 @@ class QueryService:
             raise QueryError("service is not running (call start() first)")
         if self._pending >= self.max_pending:
             self.metrics.inc("service_rejected_overload")
-            raise QueryError(
+            raise ServiceOverloaded(
                 f"service overloaded: {self._pending} queries pending "
                 f"(max_pending={self.max_pending})"
             )
@@ -655,7 +664,7 @@ class QueryService:
             await loop.run_in_executor(
                 self._executor, self._respawn, resident.index
             )
-            raise QueryError(
+            raise WorkerDied(
                 f"resident worker {resident.index} (pid {died.pid}) died "
                 f"mid-query; respawned"
             ) from None

@@ -1,7 +1,7 @@
 """The committed seed corpus replays clean on every CI run.
 
 Every ``fuzz/corpus/*.json`` file goes through the full differential
-matrix — all registry algorithms × every kernel (dict, flat, native)
+matrix — all registry algorithms × every kernel (dict, flat)
 × cached/uncached × sequential/batch vs. the brute-force and Yen
 oracles — and the corpus
 itself is pinned byte-for-byte to its in-code definition so the files

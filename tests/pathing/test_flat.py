@@ -44,11 +44,12 @@ class TestKernelSelector:
         assert active_kernel() == "dict"
 
     def test_invalid_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            resolve_kernel("gpu")
-        with pytest.raises(ValueError):
-            with use_kernel("gpu"):
-                pass  # pragma: no cover
+        for name in ("gpu", "native"):
+            with pytest.raises(ValueError, match="choose one of: dict, flat$"):
+                resolve_kernel(name)
+            with pytest.raises(ValueError, match="choose one of: dict, flat$"):
+                with use_kernel(name):
+                    pass  # pragma: no cover
 
     def test_explicit_overrides_ambient(self):
         with use_kernel("flat"):

@@ -7,6 +7,7 @@ exposition, status, and the error-code mapping.
 
 import asyncio
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -16,8 +17,8 @@ import pytest
 from repro.core.kpj import KPJSolver
 from repro.datasets.registry import road_network
 from repro.obs.metrics import parse_prom
-from repro.server.http import serve_forever
-from repro.server.service import QueryService
+from repro.server.http import _handle_query, serve_forever
+from repro.server.service import QueryService, ServiceOverloaded, WorkerDied
 from repro.server.shared import active_segments
 
 
@@ -69,6 +70,18 @@ def _post(url, payload):
     )
     with urllib.request.urlopen(request, timeout=30) as response:
         return response.status, json.loads(response.read())
+
+
+def _raw(base, request: bytes):
+    """Send ``request`` verbatim over a socket; return (status, JSON body)."""
+    host, port = base.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
 
 
 class TestEndpoints:
@@ -134,6 +147,31 @@ class TestErrorMapping:
         base, _ = endpoint
         code, body = self._error(base, {"bogus": True})
         assert code == 400
+
+    @pytest.mark.parametrize("length", [b"-5", b"ten"])
+    def test_bad_content_length_is_400(self, endpoint, length):
+        base, _ = endpoint
+        code, body = _raw(
+            base,
+            b"POST /query HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n",
+        )
+        assert code == 400
+        assert "Content-Length" in body["error"]
+
+    @pytest.mark.parametrize(
+        "exc,code",
+        [
+            (ServiceOverloaded("service overloaded: 2 queries pending"), 429),
+            (WorkerDied("resident worker 0 (pid 1) died mid-query"), 500),
+        ],
+    )
+    def test_status_follows_exception_type(self, exc, code):
+        class Failing:
+            async def asubmit(self, fields, timeout_s=None):
+                raise exc
+
+        out = asyncio.run(_handle_query(Failing(), b'{"source": 1}'))
+        assert out.startswith(f"HTTP/1.1 {code} ".encode())
 
     def test_deadline_is_504(self, endpoint):
         base, service = endpoint

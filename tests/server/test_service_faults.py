@@ -4,12 +4,13 @@ Each failure mode is pinned to its exact user-visible error message
 and its telemetry counter, so a behaviour change here is a deliberate
 API change, not an accident:
 
-* worker SIGKILL'd mid-query -> clean ``QueryError``, pool respawns
+* worker SIGKILL'd mid-query -> clean ``WorkerDied`` (a ``QueryError``
+  subclass), pool respawns
   the worker with the shared-memory state intact, later queries work;
 * deadline exceeded -> ``DeadlineExceeded`` (a ``QueryError``
   subclass) + ``service_deadline_exceeded``;
-* admission-queue overflow -> ``QueryError`` +
-  ``service_rejected_overload``;
+* admission-queue overflow -> ``ServiceOverloaded`` (a ``QueryError``
+  subclass) + ``service_rejected_overload``;
 * shutdown -> zero shared-memory segments left behind.
 """
 
@@ -28,6 +29,8 @@ from repro.server.pool import BatchQuery
 from repro.server.service import (
     DeadlineExceeded,
     QueryService,
+    ServiceOverloaded,
+    WorkerDied,
     _serve_query,
 )
 from repro.server.shared import active_segments
@@ -66,8 +69,9 @@ class TestWorkerDeath:
             QueryError,
             match=rf"resident worker 0 \(pid {old_pid}\) died mid-query; "
             rf"respawned",
-        ):
+        ) as excinfo:
             inflight.result(timeout=30)
+        assert isinstance(excinfo.value, WorkerDied)
         assert service.metrics.counters["service_worker_deaths"] == 1
 
         # The pool respawned a fresh process...
@@ -163,8 +167,9 @@ class TestOverflow:
                 QueryError,
                 match=r"^service overloaded: 2 queries pending "
                 r"\(max_pending=2\)$",
-            ):
+            ) as excinfo:
                 svc.query(_query(source=7))
+            assert isinstance(excinfo.value, ServiceOverloaded)
             assert svc.metrics.counters["service_rejected_overload"] == 1
             # The shed request cost nothing; admitted work completes.
             assert accepted.result(timeout=30).paths

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -177,11 +179,13 @@ class TestKernelAndStatsFlags:
         assert outputs[0] == outputs[1]
 
     def test_invalid_kernel_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["query", "--dataset", "SJ", "--source", "1",
-                 "--category", "T2", "--kernel", "gpu"]
-            )
+        for name in ("gpu", "native"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(
+                    ["query", "--dataset", "SJ", "--source", "1",
+                     "--category", "T2", "--kernel", name]
+                )
+            assert exc.value.code == 2
 
 
 class TestBatchCommand:
@@ -538,6 +542,25 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert out.startswith("# Perf trajectory report")
         assert "### Work counters" in out
+
+    def test_renders_committed_histories_with_retired_keys(self, capsys):
+        """Committed entries keep counters and kernels no longer produced.
+
+        ``BENCH_loadtest.json`` work blocks still carry the retired
+        batch-occupancy counters and ``BENCH_trajectory.json`` still
+        holds the retired ``native`` protocol; both must keep rendering.
+        """
+        results = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+        loadtest = results / "BENCH_loadtest.json"
+        assert "batch_rounds" in loadtest.read_text()
+        assert main(["report", "--loadtest", str(loadtest)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# Load-test trajectory report")
+        assert "| batch_rounds |" in out
+        trajectory = results / "BENCH_trajectory.json"
+        assert '"native"' in trajectory.read_text()
+        assert main(["report", "--trajectory", str(trajectory)]) == 0
+        assert "`native` kernel" in capsys.readouterr().out
 
     def test_out_flag_writes_file(self, capsys, tmp_path):
         dest = tmp_path / "report.md"
