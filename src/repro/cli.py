@@ -34,9 +34,10 @@ span timeline as Chrome trace-event JSON (load in ``chrome://tracing``
 or Perfetto); ``query --trace`` prints the span tree and the
 per-depth :class:`~repro.obs.subspace_report.SubspaceTreeReport`
 inline; ``metrics --workload W --trace-out DIR`` additionally writes
-one Chrome trace file per query of the workload; ``explain --tree``
-prints the same subspace-tree reconstruction from the ``SearchTrace``
-narration.
+one Chrome trace file per query of the workload; ``explain`` answers
+the query the same traced way and prints the search's events, one line
+each, from the span snapshot (``--tree`` adds the subspace-tree
+report).
 
 Work-attribution surfaces (DESIGN.md §3g): ``--log FILE`` on
 ``query``/``batch`` appends one JSON event per query (stable query id,
@@ -902,12 +903,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.core.iter_bound import iter_bound
-    from repro.core.spt_incremental import iter_bound_spti
-    from repro.core.trace import SearchTrace
-    from repro.graph.virtual import build_query_graph
-    from repro.landmarks.index import ZERO_BOUNDS
-    from repro.pathing.kernels import use_kernel
+    from repro.obs.subspace_report import SubspaceTreeReport, narrate
+    from repro.obs.tracing import SpanTracer
 
     dataset = road_network(args.dataset)
     if args.source < 0 or args.source >= dataset.n:
@@ -918,35 +915,23 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         dataset.categories,
         landmarks=args.landmarks,
         kernel=args.kernel,
+        tracer=SpanTracer(),
+    )
+    result = solver.top_k(
+        args.source, category=args.category, k=args.k, algorithm=args.algorithm
     )
     destinations = dataset.categories.nodes_of(args.category)
-    qg = build_query_graph(dataset.graph, (args.source,), destinations)
-    lm = solver.landmark_index
-    bounds = (
-        lm.to_target_bounds(qg.destinations) if lm is not None else ZERO_BOUNDS
-    )
-    trace = SearchTrace()
-    with use_kernel(args.kernel):
-        if args.algorithm == "iter-bound-spti":
-            source_bounds = (
-                lm.lazy_source_bounds(qg.sources) if lm is not None else ZERO_BOUNDS
-            )
-            paths = iter_bound_spti(qg, args.k, bounds, source_bounds, trace=trace)
-        else:
-            paths = iter_bound(qg, args.k, bounds, trace=trace)
     print(
         f"{args.algorithm} ({args.kernel} kernel) on {args.dataset}: "
         f"node {args.source} -> category "
         f"{args.category!r} (|V_T|={len(destinations)}), k={args.k}\n"
     )
-    print(trace.render(limit=args.limit))
+    print(narrate(result.trace, limit=args.limit))
     if args.tree:
-        from repro.obs.subspace_report import SubspaceTreeReport
-
         print()
-        print(SubspaceTreeReport.from_search_trace(trace).render())
-    print(f"\nfound {len(paths)} paths; lengths: "
-          + ", ".join(f"{p.length:.4g}" for p in paths))
+        print(SubspaceTreeReport.from_spans(result.trace).render())
+    print(f"\nfound {result.k_found} paths; lengths: "
+          + ", ".join(f"{p.length:.4g}" for p in result.paths))
     return 0
 
 

@@ -30,6 +30,7 @@ tests assert path-for-path.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
@@ -40,6 +41,7 @@ from repro.core.subspace import Subspace
 from repro.graph.csr import CSRGraph, shared_csr
 from repro.graph.virtual import QueryGraph
 from repro.landmarks.index import ZeroBounds
+from repro.obs.probe import Probe
 from repro.pathing.flat import (
     acquire_inf_array,
     acquire_scratch,
@@ -97,10 +99,8 @@ class FlatQueryContext:
     iteratively bounding driver calls thousands of times per query;
     each call hands the subspace prefix straight to the kernel, which
     pre-stamps it into its pooled scratch — no per-test set build and
-    no per-edge membership check.
-
-    Call :meth:`close` when the query finishes (drivers do this in a
-    ``finally``).
+    no per-edge membership check.  Pooled resources are taken per
+    kernel call, so the context needs no release.
     """
 
     __slots__ = ("csr", "h")
@@ -111,12 +111,12 @@ class FlatQueryContext:
         heuristic=None,
         csr: CSRGraph | None = None,
         h: list[float] | Callable[[int], float] | None = None,
-        metrics=None,
+        probe: Probe | None = None,
     ) -> None:
         self.csr = csr if csr is not None else shared_csr(graph)
         self.h = h if h is not None else dense_heuristic(heuristic, self.csr.n)
-        if metrics is not None:
-            metrics.inc("flat_query_contexts")
+        if probe is not None:
+            probe.count("flat_query_contexts")
 
     def make_test_lb(self, goal: int, stats: SearchStats | None):
         """The ``TestLB`` closure for :func:`iter_bound_search`.
@@ -152,9 +152,6 @@ class FlatQueryContext:
             )
 
         return test_lb
-
-    def close(self) -> None:
-        """Release the context (pooled resources are per-kernel-call)."""
 
 
 class FlatIncrementalSPT:
@@ -194,7 +191,7 @@ class FlatIncrementalSPT:
         "_dest_dists",
         "_dest_cache",
         "_stats",
-        "_metrics",
+        "_probe",
         "_heap_peak",
     )
 
@@ -205,7 +202,7 @@ class FlatIncrementalSPT:
         target_bounds,
         destinations: frozenset[int],
         stats: SearchStats | None = None,
-        metrics=None,
+        probe: Probe | None = None,
     ) -> None:
         self._csr = csr
         self._rows = csr.row_lists()
@@ -232,7 +229,7 @@ class FlatIncrementalSPT:
         self._dest_dists: list[float] = []
         self._dest_cache: tuple[np.ndarray, np.ndarray] | None = None
         self._stats = stats
-        self._metrics = metrics
+        self._probe = probe
         self._heap_peak = 1
         self._dist[source] = 0.0
         self._stamp[source] = self._gen
@@ -331,7 +328,7 @@ class FlatIncrementalSPT:
             # (the initial source push is counted in ``__init__``).
             stats.heap_pushes += relaxed
             stats.heap_pops += pops
-        if self._metrics is not None and len(heap) > self._heap_peak:
+        if self._probe is not None and len(heap) > self._heap_peak:
             # The queue peak at phase boundaries — one check per grow
             # call, not per settled node.
             self._heap_peak = len(heap)
@@ -401,11 +398,11 @@ class FlatIncrementalSPT:
 
     def close(self) -> None:
         """Return the pooled buffers; the tree must not be used after."""
-        metrics = self._metrics
-        if metrics is not None:
-            metrics.set_gauge("spt_heap_peak", self._heap_peak)
-            metrics.set_gauge("spt_settled_peak", len(self._settled_order))
-            metrics.set_gauge("flat_scratch_stamp_gen", self._gen)
+        probe = self._probe
+        if probe is not None:
+            probe.gauge("spt_heap_peak", self._heap_peak)
+            probe.gauge("spt_settled_peak", len(self._settled_order))
+            probe.gauge("flat_scratch_stamp_gen", self._gen)
         if self._scratch is not None:
             release_scratch(self._csr, self._scratch)
             self._scratch = None
@@ -535,24 +532,17 @@ def flat_spti_search(
     source_bounds: Callable[[int], float],
     alpha: float = 1.1,
     stats: SearchStats | None = None,
-    trace=None,
-    metrics=None,
-    tracer=None,
+    probe: Probe | None = None,
 ) -> list[Path]:
     """``IterBound-SPT_I`` (Algs. 4, 7, 8) entirely on the flat engine.
 
     Drop-in replacement for the dict
     :func:`repro.core.spt_incremental.iter_bound_spti` — same
     parameters, identical returned paths — dispatched automatically
-    when the ambient kernel is ``"flat"``.  ``trace`` records the same
-    ``output``/``test-hit``/``test-miss``/``retire`` events as the
-    dict engine (``kpj explain --kernel flat``); ``metrics`` receives
-    the ``comp_sp`` phase plus the tree's size gauges, with the
-    driver's ``spt_grow``/``test_lb``/``division`` phases attributed
-    by :func:`~repro.core.iter_bound.iter_bound_search`; ``tracer``
-    likewise records the identical span taxonomy as the dict engine
-    (``bound_kind="spt_i"``), so traced flat and dict queries produce
-    the same :class:`~repro.obs.subspace_report.SubspaceTreeReport`.
+    when the ambient kernel is ``"flat"``.  ``probe`` receives the
+    ``comp_sp`` phase, the tree's size gauges and, through
+    :func:`~repro.core.iter_bound.iter_bound_search`, the same event
+    sequence as the dict engine (``bound_kind="spt_i"``).
     """
     from repro.core.iter_bound import iter_bound_search
 
@@ -562,23 +552,16 @@ def flat_spti_search(
     destinations = frozenset(query_graph.destinations)
     tree = FlatIncrementalSPT(
         csr, query_graph.source, target_bounds, destinations, stats=stats,
-        metrics=metrics,
+        probe=probe,
     )
-    ctx = FlatQueryContext(csr=rcsr, h=tree.h, metrics=metrics)
+    ctx = FlatQueryContext(csr=rcsr, h=tree.h, probe=probe)
     try:
         stats.shortest_path_computations += 1
-        if metrics is not None or tracer is not None:
-            from time import perf_counter
-
+        if probe is not None:
             t0 = perf_counter()
-            initial = tree.build_initial(query_graph.target)
-            t1 = perf_counter()
-            if metrics is not None:
-                metrics.observe_phase("comp_sp", t1 - t0)
-            if tracer is not None:
-                tracer.add("comp_sp", t0, t1, cat="phase")
-        else:
-            initial = tree.build_initial(query_graph.target)
+        initial = tree.build_initial(query_graph.target)
+        if probe is not None:
+            probe.phase("comp_sp", t0, perf_counter())
         if initial is None:
             return []
         first_path, first_length = initial
@@ -623,9 +606,7 @@ def flat_spti_search(
                 tree, reversed_graph.adjacency, comp_lb, source_bounds
             ),
             initial_dists=init_dists,
-            trace=trace,
-            metrics=metrics,
-            tracer=tracer,
+            probe=probe,
             bound_kind="spt_i",
         )
         stats.spt_nodes = len(tree)
@@ -634,5 +615,4 @@ def flat_spti_search(
             for p in reverse_paths
         ]
     finally:
-        ctx.close()
         tree.close()

@@ -33,6 +33,7 @@ from repro.core.subspace import Subspace, compute_lower_bound, divide
 from repro.graph.digraph import DiGraph
 from repro.graph.virtual import QueryGraph
 from repro.obs.log import current_query_id
+from repro.obs.probe import Probe
 from repro.pathing.astar import astar_path, bounded_astar_path
 from repro.pathing.kernels import active_kernel
 
@@ -52,14 +53,11 @@ def iter_bound_search(
     initial: tuple[tuple[int, ...], float] | None = None,
     comp_lb: Callable[[Subspace], float] | None = None,
     before_test: Callable[[float], None] | None = None,
-    trace=None,
     test_lb: Callable[[Subspace, float, dict], tuple[tuple[int, ...], float] | None]
     | None = None,
-    use_flat_engine: bool | None = None,
     comp_lb_children: Callable | None = None,
     initial_dists: list[float] | None = None,
-    metrics=None,
-    tracer=None,
+    probe: Probe | None = None,
     bound_kind: str | None = None,
 ) -> list[Path]:
     """Generic Alg. 4 driver; returns paths in ``graph`` coordinates.
@@ -85,23 +83,15 @@ def iter_bound_search(
         Hook invoked with ``τ`` right before each ``TestLB`` — the
         ``SPT_I`` variant grows its tree here (Alg. 7's placement:
         after line 9, before line 10 of Alg. 4).
-    trace:
-        Optional :class:`repro.core.trace.SearchTrace` recording the
-        loop's events (outputs, test hits/misses, retirements).
     test_lb:
         Override for the bounded test itself: called as
         ``test_lb(subspace, tau, info)`` and expected to honour the
         same contract as :func:`~repro.pathing.astar.bounded_astar_path`
         (``(tail, length)`` within ``tau`` or ``None`` with
         ``info["pruned"]`` set).  The ``SPT_I`` flat driver supplies a
-        closure over its query context here.
-    use_flat_engine:
-        Tri-state fast-path switch used when ``test_lb`` is not given:
-        ``True`` builds a :class:`~repro.core.flat_engine.FlatQueryContext`
-        over ``graph`` and runs every test on the flat kernel;
-        ``False`` forces the dict closure; ``None`` (default) follows
-        the ambient kernel selection (``"flat"`` takes the flat-engine
-        fast path).
+        closure over its query context here.  Defaults to the ambient
+        kernel's test: a :class:`~repro.core.flat_engine.FlatQueryContext`
+        over ``graph`` under ``"flat"``, the dict bounded A* otherwise.
     comp_lb_children:
         Optional batched division: called as
         ``comp_lb_children(subspace, path, tail_dists)`` and expected
@@ -114,24 +104,13 @@ def iter_bound_search(
         weight of ``path[: i + 1]`` accumulated left-to-right exactly
         as ``divide`` would.  Lets the first (largest) division skip
         the per-hop ``edge_weight`` walk.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
-        the driver's phase attribution — ``comp_sp`` (the initial
-        shortest-path computation, when run here), ``spt_grow`` (time
-        inside ``before_test``), ``test_lb``, ``division`` — plus the
-        subspace-queue peak gauge.  Times accumulate in locals and
-        flush once; disabled cost is one ``None`` check per site.
-    tracer:
-        Optional :class:`~repro.obs.tracing.SpanTracer`.  The driver
-        opens one ``iter_bound`` span over the whole loop (attributes:
-        ``bound_kind``, end-of-search queue ``leftover``, ``results``),
-        one ``iterate`` span per outer τ-iteration, and child
-        ``test_lb`` / ``division`` / ``spt_grow`` spans carrying the
-        prefix depth, lower bound, τ, and verdict — enough for
-        :class:`~repro.obs.subspace_report.SubspaceTreeReport` to
-        rebuild the explored subspace tree.  Shares the metrics
-        discipline: timestamps are taken once, disabled cost is one
-        ``None`` check per site.
+    probe:
+        Optional :class:`~repro.obs.probe.Probe`.  Its registry gets
+        the ``comp_sp`` (when run here), ``spt_grow``, ``test_lb`` and
+        ``division`` phases, summed in locals and flushed once, plus
+        the queue-peak gauge; its tracer gets one ``iter_bound`` span
+        over the loop, one ``iterate`` span per pop and ``spt_grow`` /
+        ``test_lb`` / ``division`` children (DESIGN.md §3d).
     bound_kind:
         Which bound family backs ``heuristic``/``comp_lb``
         (``"landmark"``, ``"global"``, ``"spt_p"``, ``"spt_i"``) —
@@ -145,16 +124,12 @@ def iter_bound_search(
         def comp_lb(subspace: Subspace) -> float:
             return compute_lower_bound(adjacency, subspace, heuristic)
 
-    own_ctx: FlatQueryContext | None = None
     if test_lb is None:
-        if use_flat_engine is None:
-            use_flat_engine = active_kernel() != "dict"
-        if use_flat_engine:
+        if active_kernel() != "dict":
             # Flat-core fast path: resolve the CSR snapshot, densify
             # the heuristic, and pool the blocked mask once per query
             # instead of once per TestLB.
-            own_ctx = FlatQueryContext(graph, heuristic)
-            test_lb = own_ctx.make_test_lb(goal, stats)
+            test_lb = FlatQueryContext(graph, heuristic).make_test_lb(goal, stats)
         else:
             def test_lb(subspace: Subspace, tau: float, info: dict):
                 return bounded_astar_path(
@@ -170,12 +145,11 @@ def iter_bound_search(
                     info=info,
                 )
 
-    timed = metrics is not None
-    traced = tracer is not None
-    clocked = timed or traced
+    timed = probe is not None and probe.metrics is not None
+    traced = probe is not None and probe.tracer is not None
     search_span = None
     if traced:
-        search_span = tracer.begin("iter_bound", cat="search", bound_kind=bound_kind)
+        search_span = probe.begin("iter_bound", bound_kind=bound_kind)
         # Join key to the structured query log: the solver stamps its
         # id in a contextvar so the driver tags its span without a
         # signature change (see repro.obs.log).
@@ -184,18 +158,14 @@ def iter_bound_search(
             search_span["attrs"]["query_id"] = query_id
     if initial is None:
         stats.shortest_path_computations += 1
-        if clocked:
+        if probe is not None:
             t0 = perf_counter()
         initial = astar_path(graph, root, goal, heuristic, stats=stats)
-        if clocked:
-            t1 = perf_counter()
-            if timed:
-                metrics.observe_phase("comp_sp", t1 - t0)
-            if traced:
-                tracer.add("comp_sp", t0, t1, cat="phase")
+        if probe is not None:
+            probe.phase("comp_sp", t0, perf_counter())
     if initial is None:
         if traced:
-            tracer.end(search_span, results=0, leftover=0)
+            probe.end(search_span, results=0, leftover=0)
         return []
     first_path, first_length = initial
 
@@ -233,21 +203,19 @@ def iter_bound_search(
     t_test = t_div = t_grow = 0.0
     n_div = n_grow = 0
     queue_peak = 1
+    clocked = probe is not None
     try:
         while queue and len(results) < k:
             if timed and len(queue) > queue_peak:
                 queue_peak = len(queue)
             bound, _, subspace, found = heappop(queue)
             if traced:
-                it_span = tracer.begin(
-                    "iterate", cat="search",
-                    depth=len(subspace.prefix) - 1, lb=bound,
+                it_span = probe.begin(
+                    "iterate", depth=len(subspace.prefix) - 1, lb=bound
                 )
             if found is not None:
                 path, dists = found
                 results.append(Path(length=bound, nodes=path))
-                if trace is not None:
-                    trace.record("output", subspace.prefix, bound, length=bound)
                 if clocked:
                     t0 = perf_counter()
                 if comp_lb_children is not None and dists is not None:
@@ -274,15 +242,10 @@ def iter_bound_search(
                         t_div += t1 - t0
                         n_div += 1
                     if traced:
-                        tracer.add(
-                            "division", t0, t1, cat="phase",
-                            attrs={
-                                "depth": len(subspace.prefix) - 1,
-                                "children": len(pairs),
-                                "pruned": born_pruned,
-                            },
+                        probe.division(
+                            it_span, t0, t1, subspace.prefix, bound,
+                            len(pairs), born_pruned,
                         )
-                        tracer.end(it_span, verdict="output", length=bound)
                 continue
             # Enlarge tau: alpha * max(lb(S), next pending bound) — Alg. 4
             # line 9, with the queue top defined as +inf when empty.
@@ -304,9 +267,7 @@ def iter_bound_search(
                         t_grow += t1 - t0
                         n_grow += 1
                     if traced:
-                        tracer.add(
-                            "spt_grow", t0, t1, cat="phase", attrs={"tau": tau}
-                        )
+                        probe.span("spt_grow", t0, t1, tau=tau)
                 else:
                     before_test(tau)
             n_tests += 1
@@ -320,19 +281,10 @@ def iter_bound_search(
             if hit is not None:
                 n_test_hits += 1
                 tail, length = hit
-                if trace is not None:
-                    trace.record(
-                        "test-hit", subspace.prefix, bound, tau=tau, length=length
-                    )
                 if traced:
-                    tracer.add(
-                        "test_lb", t0, t1, cat="phase",
-                        attrs={
-                            "depth": len(subspace.prefix) - 1,
-                            "lb": bound, "tau": tau, "verdict": "hit",
-                        },
+                    probe.test_lb(
+                        it_span, t0, t1, subspace.prefix, bound, tau, "hit", length
                     )
-                    tracer.end(it_span, verdict="test-hit")
                 heappush(
                     queue,
                     (
@@ -346,35 +298,17 @@ def iter_bound_search(
             n_test_failures += 1
             if not test_info["pruned"] or tau >= tau_limit:
                 n_test_retires += 1
-                if trace is not None:
-                    trace.record("retire", subspace.prefix, bound, tau=tau)
                 if traced:
-                    tracer.add(
-                        "test_lb", t0, t1, cat="phase",
-                        attrs={
-                            "depth": len(subspace.prefix) - 1,
-                            "lb": bound, "tau": tau, "verdict": "retire",
-                        },
+                    probe.test_lb(
+                        it_span, t0, t1, subspace.prefix, bound, tau, "retire"
                     )
-                    tracer.end(it_span, verdict="retire")
                 n_pruned += 1  # provably empty — retire it
                 continue
             n_test_misses += 1
-            if trace is not None:
-                trace.record("test-miss", subspace.prefix, bound, tau=tau)
             if traced:
-                tracer.add(
-                    "test_lb", t0, t1, cat="phase",
-                    attrs={
-                        "depth": len(subspace.prefix) - 1,
-                        "lb": bound, "tau": tau, "verdict": "miss",
-                    },
-                )
-                tracer.end(it_span, verdict="test-miss")
+                probe.test_lb(it_span, t0, t1, subspace.prefix, bound, tau, "miss")
             heappush(queue, (tau, next(tie), subspace, None))
     finally:
-        if own_ctx is not None:
-            own_ctx.close()
         stats.subspaces_created += n_created
         stats.lower_bound_computations += n_lb_computations
         stats.subspaces_pruned += n_pruned
@@ -384,17 +318,14 @@ def iter_bound_search(
         stats.lb_test_misses += n_test_misses
         stats.lb_test_retires += n_test_retires
         if timed:
-            if n_tests:
-                metrics.observe_phase("test_lb", t_test, n_tests)
-            if n_div:
-                metrics.observe_phase("division", t_div, n_div)
-            if n_grow:
-                metrics.observe_phase("spt_grow", t_grow, n_grow)
-            metrics.set_gauge("iterbound_queue_peak", queue_peak)
+            probe.phase_totals("test_lb", t_test, n_tests)
+            probe.phase_totals("division", t_div, n_div)
+            probe.phase_totals("spt_grow", t_grow, n_grow)
+            probe.gauge("iterbound_queue_peak", queue_peak)
     leftover = sum(1 for entry in queue if entry[3] is None)
     stats.subspaces_pruned += leftover
     if traced:
-        tracer.end(search_span, leftover=leftover, results=len(results))
+        probe.end(search_span, leftover=leftover, results=len(results))
     return results
 
 
@@ -404,9 +335,7 @@ def iter_bound(
     heuristic: Callable[[int], float],
     alpha: float = 1.1,
     stats: SearchStats | None = None,
-    trace=None,
-    metrics=None,
-    tracer=None,
+    probe: Probe | None = None,
 ) -> list[Path]:
     """The plain (index-free) ``IterBound`` on a query transform.
 
@@ -423,8 +352,6 @@ def iter_bound(
         heuristic,
         alpha=alpha,
         stats=stats,
-        trace=trace,
-        metrics=metrics,
-        tracer=tracer,
+        probe=probe,
         bound_kind="global" if isinstance(heuristic, ZeroBounds) else "landmark",
     )

@@ -40,7 +40,6 @@ Algorithm registry names (paper names in parentheses):
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import nullcontext
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Sequence
@@ -61,7 +60,8 @@ from repro.landmarks.index import ZERO_BOUNDS, LandmarkIndex, TargetBounds
 from repro.obs.log import QueryLogger, current_query_id, new_query_id
 from repro.obs.memory import MemoryTelemetry, graph_pool_bytes
 from repro.obs.metrics import SEARCH_PHASES, MetricsRegistry, maybe_phase
-from repro.obs.tracing import SpanTracer, maybe_span
+from repro.obs.probe import Probe, region
+from repro.obs.tracing import SpanTracer
 from repro.pathing.kernels import KERNELS, use_kernel
 
 __all__ = [
@@ -81,18 +81,17 @@ class QueryContext:
 
     ``target_bounds``/``source_bounds`` are the Eq. (2)-style landmark
     bound vectors (or the zero bound); ``alpha`` is the iteratively
-    bounding growth factor; ``stats`` collects instrumentation;
-    ``metrics`` is the per-query registry and ``tracer`` the per-query
-    span tracer (``None`` when observability is off — implementations
-    must guard on that, never allocate).
+    bounding growth factor; ``stats`` is the always-on work ledger;
+    ``probe`` carries the per-query metrics registry and span tracer
+    (``None`` when observability is off — implementations must guard
+    on that, never allocate).
     """
 
     target_bounds: Callable[[int], float]
     source_bounds: Callable[[int], float]
     alpha: float
     stats: SearchStats
-    metrics: MetricsRegistry | None = None
-    tracer: SpanTracer | None = None
+    probe: Probe | None = None
 
 
 def _run_da(qg: QueryGraph, k: int, ctx: QueryContext) -> list[Path]:
@@ -110,7 +109,7 @@ def _run_best_first(qg: QueryGraph, k: int, ctx: QueryContext) -> list[Path]:
 def _run_iter_bound(qg: QueryGraph, k: int, ctx: QueryContext) -> list[Path]:
     return iter_bound(
         qg, k, ctx.target_bounds, alpha=ctx.alpha, stats=ctx.stats,
-        metrics=ctx.metrics, tracer=ctx.tracer,
+        probe=ctx.probe,
     )
 
 
@@ -124,21 +123,21 @@ def _run_iter_bound_sptp(qg: QueryGraph, k: int, ctx: QueryContext) -> list[Path
         source_bounds = eager()
     return iter_bound_sptp(
         qg, k, ctx.target_bounds, source_bounds, alpha=ctx.alpha, stats=ctx.stats,
-        metrics=ctx.metrics, tracer=ctx.tracer,
+        probe=ctx.probe,
     )
 
 
 def _run_iter_bound_spti(qg: QueryGraph, k: int, ctx: QueryContext) -> list[Path]:
     return iter_bound_spti(
         qg, k, ctx.target_bounds, ctx.source_bounds, alpha=ctx.alpha, stats=ctx.stats,
-        metrics=ctx.metrics, tracer=ctx.tracer,
+        probe=ctx.probe,
     )
 
 
 def _run_iter_bound_spti_nl(qg: QueryGraph, k: int, ctx: QueryContext) -> list[Path]:
     return iter_bound_spti(
         qg, k, ZERO_BOUNDS, ZERO_BOUNDS, alpha=ctx.alpha, stats=ctx.stats,
-        metrics=ctx.metrics, tracer=ctx.tracer,
+        probe=ctx.probe,
     )
 
 
@@ -509,18 +508,21 @@ class KPJSolver:
             if qtr is not None
             else None
         )
+        # No sink, no probe: each instrumentation site then costs one
+        # None check.  Memory telemetry records into the registry, so
+        # it does not count as a sink.
+        probe = (
+            Probe(qreg, qtr, self.memory)
+            if qreg is not None or qtr is not None
+            else None
+        )
         try:
             return self._solve_inner(
                 sources, category, destinations, k, algorithm, alpha, prepared,
-                target_bounds, t_start, stats, query_id, qreg, qtr, root_span,
+                target_bounds, t_start, stats, query_id, probe, root_span,
             )
         finally:
             current_query_id.reset(qid_token)
-
-    def _mem_phase(self, name: str, qreg: MetricsRegistry | None):
-        if self.memory is None:
-            return nullcontext()
-        return self.memory.phase(name, qreg)
 
     def _solve_inner(
         self,
@@ -535,14 +537,12 @@ class KPJSolver:
         t_start: float,
         stats: SearchStats,
         query_id: str,
-        qreg: MetricsRegistry | None,
-        qtr: SpanTracer | None,
+        probe: Probe | None,
         root_span: dict | None,
     ) -> QueryResult:
         run = ALGORITHMS[algorithm]
-        with maybe_phase(qreg, "prepare"), \
-                self._mem_phase("prepare", qreg), \
-                maybe_span(qtr, "prepare", cat="phase") as prep_span:
+        qreg = probe.metrics if probe is not None else None
+        with region(probe, "prepare") as prep_span:
             cache_hits_before = stats.prepared_cache_hits
             if prepared is None:
                 dest = self._canonical_destinations(
@@ -578,12 +578,10 @@ class KPJSolver:
             source_bounds=source_bounds,
             alpha=alpha,
             stats=stats,
-            metrics=qreg,
-            tracer=qtr,
+            probe=probe,
         )
         t_search = perf_counter()
-        with use_kernel(self.kernel), self._mem_phase("search", qreg), \
-                maybe_span(qtr, "search", cat="search"):
+        with use_kernel(self.kernel), region(probe, "search", cat="search"):
             raw = run(qg, k, ctx)
         search_s = perf_counter() - t_search
         paths = [Path(length=p.length, nodes=qg.strip(p.nodes)) for p in raw]
@@ -614,9 +612,9 @@ class KPJSolver:
             snapshot = qreg.as_dict()
             self.metrics.merge(qreg)
         trace_snapshot = None
-        if qtr is not None:
-            qtr.end(root_span, paths=len(paths))
-            trace_snapshot = qtr.as_dict()
+        if root_span is not None:
+            probe.end(root_span, paths=len(paths))
+            trace_snapshot = probe.tracer.as_dict()
             self.tracer.absorb(trace_snapshot)
         result = QueryResult(
             paths=paths,

@@ -27,6 +27,7 @@ the tree knows exactly.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from time import perf_counter
 from typing import Callable
 
 from repro.core.flat_engine import flat_spti_search
@@ -35,6 +36,7 @@ from repro.core.result import Path
 from repro.core.stats import SearchStats
 from repro.core.subspace import Subspace
 from repro.graph.virtual import QueryGraph
+from repro.obs.probe import Probe
 from repro.pathing.kernels import active_kernel
 
 __all__ = ["IncrementalSPT", "iter_bound_spti"]
@@ -194,12 +196,13 @@ def iter_bound_spti(
     source_bounds: Callable[[int], float],
     alpha: float = 1.1,
     stats: SearchStats | None = None,
-    flat_core: bool | None = None,
-    trace=None,
-    metrics=None,
-    tracer=None,
+    probe: Probe | None = None,
 ) -> list[Path]:
     """Top-``k`` paths via the incremental-SPT iteratively bounding search.
+
+    Under the ambient ``"flat"`` kernel the whole query runs on
+    :func:`~repro.core.flat_engine.flat_spti_search`; both engines
+    return the same paths and record the same span sequence.
 
     Parameters
     ----------
@@ -211,53 +214,27 @@ def iter_bound_spti(
         (Section 6).
     source_bounds:
         ``lb(s, v)`` — Alg. 8's fallback for nodes outside the tree.
-    flat_core:
-        Tri-state engine switch.  ``None`` (default) follows the
-        ambient kernel: under ``"flat"`` the whole query runs on
-        :func:`~repro.core.flat_engine.flat_spti_search`.  ``False``
-        forces the dict tree/driver with per-call kernel dispatch in
-        the leaves — the pre-flat-core configuration, kept addressable
-        so benchmarks can measure the engine against it.  ``True``
-        forces the flat engine regardless of the ambient kernel.
-    trace:
-        Optional :class:`~repro.core.trace.SearchTrace`; both engines
-        record the identical ``output``/``test-hit``/``test-miss``/
-        ``retire`` event sequence (the flat-vs-dict trace-equivalence
-        test asserts it), so ``kpj explain`` narrates either kernel.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
-        phase attribution: ``comp_sp`` for the initial tree build,
-        then the driver's ``spt_grow``/``test_lb``/``division``.
-    tracer:
-        Optional :class:`~repro.obs.tracing.SpanTracer`; the initial
-        tree build becomes a ``comp_sp`` span and the driver records
-        its span taxonomy with ``bound_kind="spt_i"`` (pruning is by
-        exact tree distances; Prop. 5.2).
+    probe:
+        Optional :class:`~repro.obs.probe.Probe`: the initial tree
+        build is its ``comp_sp`` phase; the search loop's events follow
+        with ``bound_kind="spt_i"`` (pruning is by exact tree
+        distances; Prop. 5.2).
 
     Returns paths in ``G_Q`` coordinates (source → … → virtual target).
     """
-    if flat_core is None:
-        flat_core = active_kernel() != "dict"
-    if flat_core:
+    if active_kernel() != "dict":
         return flat_spti_search(
             query_graph, k, target_bounds, source_bounds, alpha=alpha, stats=stats,
-            trace=trace, metrics=metrics, tracer=tracer,
+            probe=probe,
         )
     stats = stats if stats is not None else SearchStats()
     tree = IncrementalSPT(query_graph, target_bounds, stats=stats)
     stats.shortest_path_computations += 1
-    if metrics is not None or tracer is not None:
-        from time import perf_counter
-
+    if probe is not None:
         t0 = perf_counter()
-        initial = tree.build_initial(query_graph.target)
-        t1 = perf_counter()
-        if metrics is not None:
-            metrics.observe_phase("comp_sp", t1 - t0)
-        if tracer is not None:
-            tracer.add("comp_sp", t0, t1, cat="phase")
-    else:
-        initial = tree.build_initial(query_graph.target)
+    initial = tree.build_initial(query_graph.target)
+    if probe is not None:
+        probe.phase("comp_sp", t0, perf_counter())
     if initial is None:
         return []
     first_path, first_length = initial
@@ -310,10 +287,7 @@ def iter_bound_spti(
         initial=(tuple(reversed(first_path)), first_length),
         comp_lb=comp_lb,
         before_test=tree.grow,
-        use_flat_engine=False,
-        trace=trace,
-        metrics=metrics,
-        tracer=tracer,
+        probe=probe,
         bound_kind="spt_i",
     )
     stats.spt_nodes = len(tree)

@@ -13,12 +13,14 @@ better — and from Eq. (2) otherwise.
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Callable
 
 from repro.core.iter_bound import iter_bound_search
 from repro.core.result import Path
 from repro.core.stats import SearchStats
 from repro.graph.virtual import QueryGraph
+from repro.obs.probe import Probe
 from repro.pathing.spt import PartialSPT, build_partial_spt
 
 __all__ = ["SPTPHeuristic", "iter_bound_sptp"]
@@ -71,8 +73,7 @@ def iter_bound_sptp(
     source_bounds: Callable[[int], float],
     alpha: float = 1.1,
     stats: SearchStats | None = None,
-    metrics=None,
-    tracer=None,
+    probe: Probe | None = None,
 ) -> list[Path]:
     """Top-``k`` paths via the iteratively bounding search over ``SPT_P``.
 
@@ -84,53 +85,32 @@ def iter_bound_sptp(
     source_bounds:
         Landmark bound ``lb(s, v)`` — Alg. 6's backward-A* priority
         term.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; the
-        Alg. 6 backward build (the query's one unconditional
-        shortest-path computation *and* its partial-tree growth) is
-        attributed to ``comp_sp``, the driver's phases follow.
-    tracer:
-        Optional :class:`~repro.obs.tracing.SpanTracer`; the Alg. 6
-        build becomes a ``comp_sp`` span (tree size as attribute) and
-        the driver records its span taxonomy with
-        ``bound_kind="spt_p"``.
+    probe:
+        Optional :class:`~repro.obs.probe.Probe`: the Alg. 6 backward
+        build (the query's one unconditional shortest-path computation
+        *and* its partial-tree growth) is its ``comp_sp`` phase, and
+        the tree size its ``sptp_tree_nodes`` gauge.
 
     Returns paths in ``G_Q`` coordinates.
     """
-    from time import perf_counter
-
     stats = stats if stats is not None else SearchStats()
     graph = query_graph.graph
     # Seeding the backward A* at the virtual target is equivalent to
     # seeding every destination at distance zero (the reverse adjacency
     # of t is exactly V_T with zero weights).
     stats.shortest_path_computations += 1
-    if metrics is not None or tracer is not None:
+    if probe is not None:
         t0 = perf_counter()
-        tree = build_partial_spt(
-            graph,
-            query_graph.source,
-            (query_graph.target,),
-            source_bounds,
-            stats=stats,
-        )
-        t1 = perf_counter()
-        if metrics is not None:
-            metrics.observe_phase("comp_sp", t1 - t0)
-            metrics.set_gauge("sptp_tree_nodes", len(tree))
-        if tracer is not None:
-            tracer.add(
-                "comp_sp", t0, t1, cat="phase",
-                attrs={"tree_nodes": len(tree)},
-            )
-    else:
-        tree = build_partial_spt(
-            graph,
-            query_graph.source,
-            (query_graph.target,),
-            source_bounds,
-            stats=stats,
-        )
+    tree = build_partial_spt(
+        graph,
+        query_graph.source,
+        (query_graph.target,),
+        source_bounds,
+        stats=stats,
+    )
+    if probe is not None:
+        probe.phase("comp_sp", t0, perf_counter(), tree_nodes=len(tree))
+        probe.gauge("sptp_tree_nodes", len(tree))
     stats.spt_nodes = len(tree)
     if tree.source_path is None:
         return []
@@ -145,7 +125,6 @@ def iter_bound_sptp(
         alpha=alpha,
         stats=stats,
         initial=(tree.source_path, first_length),
-        metrics=metrics,
-        tracer=tracer,
+        probe=probe,
         bound_kind="spt_p",
     )

@@ -4,11 +4,13 @@ A lightweight, dependency-free metrics layer: phase timers, counters,
 gauges, fixed-bucket histograms, Prometheus text exposition, and the
 strict parser the CI smoke job runs against it — plus the span tracer
 (:mod:`repro.obs.tracing`: per-query timelines, Chrome trace-event
-export, tree dumps), structured per-query JSON logging with slow-query
-dumps (:mod:`repro.obs.log`), opt-in memory telemetry
-(:mod:`repro.obs.memory`), and the subspace-tree introspection built
-on the tracer (:mod:`repro.obs.subspace_report`).  Disabled-path
-overhead is one ``None`` check per site — see DESIGN.md §3c/§3d/§3g.
+export, tree dumps), the :class:`~repro.obs.probe.Probe` through
+which search code reaches both, structured per-query JSON logging
+with slow-query dumps (:mod:`repro.obs.log`), opt-in memory telemetry
+(:mod:`repro.obs.memory`), and the subspace-tree report and search
+narrative built on the tracer (:mod:`repro.obs.subspace_report`).
+Disabled-path overhead is one ``None`` check per site — see DESIGN.md
+§3c/§3d/§3g.
 """
 
 from repro.obs.log import (
@@ -28,7 +30,8 @@ from repro.obs.metrics import (
     maybe_phase,
     parse_prom,
 )
-from repro.obs.subspace_report import DepthRow, SubspaceTreeReport
+from repro.obs.probe import Probe
+from repro.obs.subspace_report import DepthRow, SubspaceTreeReport, narrate
 from repro.obs.tracing import (
     SpanTracer,
     chrome_trace,
@@ -53,8 +56,10 @@ __all__ = [
     "render_tree",
     "folded_stacks",
     "phase_durations",
+    "Probe",
     "SubspaceTreeReport",
     "DepthRow",
+    "narrate",
     "QueryLogger",
     "SlowQuery",
     "current_query_id",

@@ -29,10 +29,10 @@ and :meth:`MetricsRegistry.render_prom` emits Prometheus text
 exposition with **no dependency** — :func:`parse_prom` is the matching
 strict parser the CI smoke job uses.
 
-The disabled path costs one ``None`` check per site, the same
-discipline as :class:`~repro.core.trace.SearchTrace`: nothing in this
-module is imported on a query's hot path unless a registry was
-explicitly attached.
+Search code reaches a registry through a
+:class:`~repro.obs.probe.Probe`; the disabled path costs one ``None``
+check per site, and nothing in this module runs on a query's hot path
+unless a registry was explicitly attached.
 """
 
 from __future__ import annotations

@@ -3,40 +3,44 @@
 The paper's efficiency argument (Sections 4–5) is about the *shape*
 of the subspace tree: ``IterBound`` wins because most subspaces are
 pruned by a cheap lower bound instead of paying a shortest-path
-computation each.  :class:`SubspaceTreeReport` reconstructs that tree
-for one query — how many subspaces were tested, expanded, or pruned
-at each prefix depth, and which bound family did the pruning — from
-either of the two narrations the engines emit:
+computation each.  Both views here read the span snapshot of a traced
+query (``QueryResult.trace``), whose ``test_lb``/``division`` spans
+carry each event's prefix, bound, τ, verdict and division fan-out:
 
-* :meth:`SubspaceTreeReport.from_spans` — the
-  :mod:`repro.obs.tracing` span snapshot riding on a traced
-  :class:`~repro.core.result.QueryResult` (``test_lb``/``division``
-  spans carry depth, bound, τ, verdict, children/pruned counts);
-* :meth:`SubspaceTreeReport.from_search_trace` — the
-  :class:`~repro.core.trace.SearchTrace` event list ``kpj explain``
-  already records.
-
-Both adapters normalise into one event stream and share a single
-``_build`` path, so ``kpj explain --tree`` and ``kpj trace`` print
-the same reconstruction.  Span-built reports additionally know the
-division fan-out and the end-of-search queue leftovers, which makes
-their totals equal the :class:`~repro.core.stats.SearchStats`
-subspace counters exactly (asserted by the tracing tests under both
-kernels); SearchTrace-built reports leave those totals ``None``.
+* :class:`SubspaceTreeReport` — how many subspaces were tested,
+  expanded, or pruned at each prefix depth, and which bound family did
+  the pruning; its totals equal the
+  :class:`~repro.core.stats.SearchStats` subspace counters exactly
+  (asserted under both kernels).  ``kpj trace --tree`` and
+  ``kpj explain --tree`` print it;
+* :func:`search_events` / :func:`narrate` — the loop's events in
+  order, one line each (``kpj explain``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping, NamedTuple
 
-__all__ = ["DepthRow", "SubspaceTreeReport"]
+__all__ = [
+    "DepthRow",
+    "SubspaceTreeReport",
+    "SearchEvent",
+    "search_events",
+    "narrate",
+]
 
-#: test_lb verdicts, in the order Alg. 4 distinguishes them.
-_VERDICTS = ("hit", "miss", "retire")
+#: ``test_lb`` span verdict -> narrative event kind.
+_KINDS = {"hit": "test-hit", "miss": "test-miss", "retire": "retire"}
 
-#: SearchTrace event kind -> normalised verdict.
-_TRACE_KINDS = {"test-hit": "hit", "test-miss": "miss", "retire": "retire"}
+
+def _snapshot(trace) -> Mapping:
+    """A span snapshot from a snapshot, a live tracer, or ``None``."""
+    if trace is None:
+        return {}
+    if hasattr(trace, "as_dict") and not isinstance(trace, Mapping):
+        return trace.as_dict()
+    return trace
 
 
 @dataclass
@@ -49,7 +53,7 @@ class DepthRow:
     verdict; ``expanded`` counts subspaces whose path was output and
     divided; ``children``/``born_pruned`` count division offspring and
     the offspring discarded immediately because ``CompLB`` proved them
-    empty (span-built reports only).
+    empty.
     """
 
     depth: int
@@ -72,9 +76,9 @@ class SubspaceTreeReport:
     #: narration did not record it.
     bound_kind: str | None = None
     #: Subspaces still queued (bound-only) when the k-th path was
-    #: confirmed; ``None`` when unknown (SearchTrace-built reports).
+    #: confirmed; ``None`` when no ``iter_bound`` span recorded it.
     leftover: int | None = None
-    #: Whether division fan-out was recorded (span-built reports).
+    #: Whether any division (and so its fan-out) was recorded.
     has_divisions: bool = False
     #: True when the source ring buffer never evicted — totals are
     #: exact, not lower bounds.
@@ -85,64 +89,29 @@ class SubspaceTreeReport:
     # ------------------------------------------------------------------
     @classmethod
     def from_spans(cls, trace: Mapping | None) -> "SubspaceTreeReport":
-        """Build from a span snapshot (``QueryResult.trace``)."""
+        """Build from a span snapshot (``QueryResult.trace``) or tracer."""
         report = cls()
-        if trace is None:
-            return report
-        if hasattr(trace, "as_dict") and not isinstance(trace, Mapping):
-            trace = trace.as_dict()  # accept a live SpanTracer too
+        trace = _snapshot(trace)
         report.complete = not trace.get("evicted", 0)
-        events: list[tuple] = []
+        rows = report.rows
         for span in trace.get("spans", ()):
             name = span.get("name")
             attrs = span.get("attrs") or {}
-            if name == "test_lb":
-                events.append(("test", int(attrs.get("depth", 0)),
-                               str(attrs.get("verdict", "miss"))))
-            elif name == "division":
-                report.has_divisions = True
-                events.append(("division", int(attrs.get("depth", 0)),
-                               int(attrs.get("children", 0)),
-                               int(attrs.get("pruned", 0))))
-            elif name == "iter_bound":
+            if name == "iter_bound":
                 if "leftover" in attrs:
                     report.leftover = int(attrs["leftover"])
                 if attrs.get("bound_kind") is not None:
                     report.bound_kind = str(attrs["bound_kind"])
-        report._build(events)
-        return report
-
-    @classmethod
-    def from_search_trace(cls, trace) -> "SubspaceTreeReport":
-        """Build from a :class:`~repro.core.trace.SearchTrace`.
-
-        Depth is derived from the recorded prefix; division fan-out
-        and queue leftovers are not part of the ``SearchTrace``
-        narration, so :attr:`subspaces_created` /
-        :attr:`subspaces_pruned` stay ``None``.
-        """
-        report = cls()
-        events: list[tuple] = []
-        for event in trace.events:
-            depth = max(len(event.prefix) - 1, 0)
-            if event.kind == "output":
-                events.append(("division", depth, 0, 0))
-            elif event.kind in _TRACE_KINDS:
-                events.append(("test", depth, _TRACE_KINDS[event.kind]))
-        report._build(events)
-        return report
-
-    def _build(self, events: Iterable[tuple]) -> None:
-        """The one shared reconstruction path for both narrations."""
-        rows = self.rows
-        for event in events:
-            kind, depth = event[0], event[1]
+                continue
+            if name not in ("test_lb", "division"):
+                continue
+            depth = int(attrs.get("depth", 0))
             row = rows.get(depth)
             if row is None:
                 row = rows[depth] = DepthRow(depth)
-            if kind == "test":
+            if name == "test_lb":
                 row.tested += 1
-                verdict = event[2]
+                verdict = attrs.get("verdict")
                 if verdict == "hit":
                     row.hits += 1
                 elif verdict == "retire":
@@ -150,9 +119,11 @@ class SubspaceTreeReport:
                 else:
                     row.misses += 1
             else:  # division (== one output expanded)
+                report.has_divisions = True
                 row.expanded += 1
-                row.children += event[2]
-                row.born_pruned += event[3]
+                row.children += int(attrs.get("children", 0))
+                row.born_pruned += int(attrs.get("pruned", 0))
+        return report
 
     # ------------------------------------------------------------------
     # Totals (the SearchStats-matching view)
@@ -256,3 +227,79 @@ class SubspaceTreeReport:
             totals.append("(ring evicted spans: totals are lower bounds)")
         lines.append("  totals: " + "  ".join(totals))
         return "\n".join(lines)
+
+
+class SearchEvent(NamedTuple):
+    """One step of the iteratively bounding loop, read off a span.
+
+    ``kind`` is ``"output"`` (a subspace's path became the next result
+    and the subspace was divided), ``"test-hit"`` (``TestLB`` found the
+    subspace's shortest path), ``"test-miss"`` (``TestLB`` proved the
+    bound ``tau`` instead) or ``"retire"`` (the subspace was proven
+    empty and dropped).
+    """
+
+    kind: str
+    prefix: tuple[int, ...]
+    lb: float
+    tau: float | None = None
+    length: float | None = None
+
+    def render(self) -> str:
+        """One human-readable line."""
+        parts = [
+            f"[{self.kind:9s}] prefix={tuple(self.prefix)}",
+            f"lb={self.lb:.4g}",
+        ]
+        if self.tau is not None:
+            parts.append(f"tau={self.tau:.4g}")
+        if self.length is not None:
+            parts.append(f"length={self.length:.4g}")
+        return "  ".join(parts)
+
+
+def search_events(trace) -> list[SearchEvent]:
+    """The loop's events, in order, from a span snapshot or tracer."""
+    events: list[SearchEvent] = []
+    for span in _snapshot(trace).get("spans", ()):
+        name = span.get("name")
+        if name == "test_lb":
+            attrs = span.get("attrs") or {}
+            events.append(
+                SearchEvent(
+                    _KINDS.get(attrs.get("verdict"), "test-miss"),
+                    attrs.get("prefix", ()),
+                    attrs.get("lb", 0.0),
+                    attrs.get("tau"),
+                    attrs.get("length"),
+                )
+            )
+        elif name == "division":
+            attrs = span.get("attrs") or {}
+            length = attrs.get("length", 0.0)
+            events.append(
+                SearchEvent("output", attrs.get("prefix", ()), length, None, length)
+            )
+    return events
+
+
+def narrate(trace, limit: int | None = None) -> str:
+    """``kpj explain``'s narrative: one line per event, then the totals.
+
+    ``limit`` caps the event lines (a truncation notice follows).
+    """
+    snapshot = _snapshot(trace)
+    events = search_events(snapshot)
+    shown = events if limit is None else events[:limit]
+    lines = [event.render() for event in shown]
+    if len(shown) < len(events):
+        lines.append(f"... {len(events) - len(shown)} more events")
+    counts: dict[str, int] = {}
+    for event in events:
+        counts[event.kind] = counts.get(event.kind, 0) + 1
+    lines.append(
+        "totals: " + ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
+    )
+    if snapshot.get("evicted"):
+        lines.append(f"({snapshot['evicted']} spans evicted by the ring buffer)")
+    return "\n".join(lines)

@@ -14,10 +14,10 @@ into a bounded ring buffer, and exports them in two forms:
 * :func:`render_tree` — a human-readable indented tree
   (``kpj trace`` / ``kpj query --trace``).
 
-Discipline is identical to :class:`~repro.core.trace.SearchTrace` and
-the metrics registry: tracing is strictly opt-in and the disabled path
-costs one ``None`` check per site — nothing here is imported or
-allocated on a hot path unless a tracer was explicitly attached (a
+Search code reaches a tracer through a :class:`~repro.obs.probe.Probe`,
+which it shares with the metrics registry: tracing is strictly opt-in
+and the disabled path costs one ``None`` check per site — nothing here
+is allocated on a hot path unless a tracer was explicitly attached (a
 unit test asserts the no-allocation property).  Tracers are *per
 scope*: the solver keeps one for its lifetime, every sampled query
 records into a fresh per-query tracer whose :meth:`SpanTracer.as_dict`
@@ -36,10 +36,12 @@ name            cat        attributes
 ``search``      search     —
 ``iter_bound``  search     ``bound_kind``, ``leftover``, ``results``
 ``iterate``     search     ``depth``, ``lb``, ``verdict``
-``comp_sp``     phase      —
+``comp_sp``     phase      ``tree_nodes`` (``SPT_P`` only)
 ``spt_grow``    phase      ``tau``
-``test_lb``     phase      ``depth``, ``lb``, ``tau``, ``verdict``
-``division``    phase      ``depth``, ``children``, ``pruned``
+``test_lb``     phase      ``depth``, ``prefix``, ``lb``, ``tau``,
+                           ``verdict``, ``length`` (hits)
+``division``    phase      ``depth``, ``prefix``, ``length``,
+                           ``children``, ``pruned``
 ``batch``       batch      ``queries``, ``workers``
 ``warmup``      phase      —
 ==============  =========  ==================================================

@@ -22,7 +22,8 @@ generators and is chosen by exception type: admission shedding
 (``ServiceOverloaded``) → ``429``, a lapsed deadline
 (``DeadlineExceeded``) → ``504``, worker death mid-query
 (``WorkerDied``) → ``500``, any other ``QueryError`` (bad category) or
-a malformed body or ``Content-Length`` → ``400``.
+a malformed body or ``Content-Length`` → ``400``.  A body longer than
+:data:`MAX_BODY_BYTES` gets ``413`` without being read.
 """
 
 from __future__ import annotations
@@ -39,7 +40,12 @@ from repro.server.service import (
     WorkerDied,
 )
 
-__all__ = ["run_server", "serve_forever"]
+__all__ = ["run_server", "serve_forever", "MAX_BODY_BYTES"]
+
+#: Largest request body read (1 MiB).  A query body is a few hundred
+#: bytes even with an explicit destination list, so anything longer is
+#: refused before a byte of it is buffered.
+MAX_BODY_BYTES = 1 << 20
 
 
 def _response(status: int, body: bytes, content_type: str) -> bytes:
@@ -48,6 +54,7 @@ def _response(status: int, body: bytes, content_type: str) -> bytes:
         400: "Bad Request",
         404: "Not Found",
         405: "Method Not Allowed",
+        413: "Payload Too Large",
         429: "Too Many Requests",
         500: "Internal Server Error",
         504: "Gateway Timeout",
@@ -109,13 +116,21 @@ async def _handle(service: QueryService, reader, writer) -> None:
                 else:
                     bad_length = value
         body = b""
-        if content_length and bad_length is None:
+        if bad_length is None and 0 < content_length <= MAX_BODY_BYTES:
             body = await reader.readexactly(content_length)
         if bad_length is not None:
             # A negative or non-numeric length leaves the body's extent
             # unknown: answer without reading it (the connection closes).
             out = _json_response(
                 400, {"error": f"invalid Content-Length {bad_length!r}"}
+            )
+        elif content_length > MAX_BODY_BYTES:
+            out = _json_response(
+                413,
+                {
+                    "error": f"body of {content_length} bytes exceeds "
+                    f"the {MAX_BODY_BYTES}-byte limit"
+                },
             )
         elif method == "GET" and path == "/healthz":
             out = _json_response(

@@ -31,7 +31,7 @@ from repro.graph.digraph import DiGraph
 from repro.graph.virtual import build_query_graph
 from repro.landmarks.index import ZERO_BOUNDS, LandmarkIndex
 from repro.pathing.flat import flat_bounded_astar_path
-from repro.pathing.kernels import KERNELS
+from repro.pathing.kernels import KERNELS, use_kernel
 from tests.conftest import random_graph
 
 INF = float("inf")
@@ -39,34 +39,34 @@ INF = float("inf")
 ENGINES = KERNELS
 
 
-def _run_spti(graph, source, destinations, k, engine, stats=None, trace=None):
+def _run_spti(graph, source, destinations, k, engine, stats=None):
     """IterBound-SPT_I through either engine, stripped to base ids."""
     qg = build_query_graph(graph, (source,), destinations)
     index = LandmarkIndex.build(graph, 2, seed=7)
     dest = tuple(sorted(set(destinations)))
-    paths = iter_bound_spti(
-        qg,
-        k,
-        index.to_target_bounds(dest),
-        index.from_source_bounds((source,)),
-        stats=stats,
-        flat_core=(engine == "flat"),
-    )
+    with use_kernel(engine):
+        paths = iter_bound_spti(
+            qg,
+            k,
+            index.to_target_bounds(dest),
+            index.from_source_bounds((source,)),
+            stats=stats,
+        )
     return [(qg.strip(p.nodes), p.length) for p in paths]
 
 
 def _run_iter_bound(graph, source, destinations, k, engine, stats=None):
     """Plain IterBound through either TestLB substrate."""
     qg = build_query_graph(graph, (source,), destinations)
-    paths = iter_bound_search(
-        qg.graph,
-        qg.source,
-        qg.target,
-        k,
-        ZERO_BOUNDS,
-        stats=stats,
-        use_flat_engine=(engine == "flat"),
-    )
+    with use_kernel(engine):
+        paths = iter_bound_search(
+            qg.graph,
+            qg.source,
+            qg.target,
+            k,
+            ZERO_BOUNDS,
+            stats=stats,
+        )
     return [(qg.strip(p.nodes), p.length) for p in paths]
 
 
@@ -323,13 +323,9 @@ class TestEngineEquivalence:
         sub = Subspace(
             prefix=(0, 1, 2, 3), banned=frozenset((4,)), prefix_weight=3.0
         )
-        ctx = FlatQueryContext(g, None)
-        try:
-            test_lb = ctx.make_test_lb(6, None)
-            flat_info: dict = {}
-            flat_hit = test_lb(sub, 100.0, flat_info)
-        finally:
-            ctx.close()
+        test_lb = FlatQueryContext(g, None).make_test_lb(6, None)
+        flat_info: dict = {}
+        flat_hit = test_lb(sub, 100.0, flat_info)
         dict_info: dict = {}
         dict_hit = bounded_astar_path(
             g,

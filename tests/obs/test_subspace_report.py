@@ -1,4 +1,4 @@
-"""SubspaceTreeReport: reconstruction from spans and SearchTrace."""
+"""SubspaceTreeReport and the search narrative: reconstruction from spans."""
 
 from __future__ import annotations
 
@@ -6,11 +6,11 @@ import pytest
 
 from repro.core.iter_bound import iter_bound
 from repro.core.kpj import KPJSolver
-from repro.core.trace import SearchTrace
 from repro.datasets.registry import road_network
 from repro.graph.virtual import build_query_graph
 from repro.landmarks.index import ZERO_BOUNDS
-from repro.obs.subspace_report import DepthRow, SubspaceTreeReport
+from repro.obs.probe import Probe
+from repro.obs.subspace_report import DepthRow, SubspaceTreeReport, search_events
 from repro.obs.tracing import SpanTracer
 from repro.pathing.kernels import KERNELS
 
@@ -76,36 +76,42 @@ class TestFromSpans:
 
 class TestFromSearchTrace:
     def test_matches_span_reconstruction(self, sj):
-        """explain --tree and the tracer share one reconstruction."""
+        """explain's event narrative and the tree report read one span
+        sequence, and agree on it."""
         destinations = sj.categories.nodes_of("T2")
         qg = build_query_graph(sj.graph, (3,), destinations)
 
-        trace = SearchTrace()
         tracer = SpanTracer()
-        paths = iter_bound(qg, 6, ZERO_BOUNDS, trace=trace, tracer=tracer)
+        paths = iter_bound(qg, 6, ZERO_BOUNDS, probe=Probe(tracer=tracer))
         assert paths
 
-        from_trace = SubspaceTreeReport.from_search_trace(trace)
-        from_spans = SubspaceTreeReport.from_spans(tracer)
-        # per-depth verdict tallies agree between the two narrations
-        assert set(from_trace.rows) == set(from_spans.rows)
-        for depth, row in from_trace.rows.items():
-            other = from_spans.rows[depth]
+        report = SubspaceTreeReport.from_spans(tracer)
+        verdicts = {"test-hit": "hits", "test-miss": "misses", "retire": "retired",
+                    "output": "expanded"}
+        rows: dict[int, DepthRow] = {}
+        for event in search_events(tracer):
+            depth = len(event.prefix) - 1
+            row = rows.setdefault(depth, DepthRow(depth))
+            setattr(row, verdicts[event.kind], getattr(row, verdicts[event.kind]) + 1)
+            if event.kind != "output":
+                row.tested += 1
+        assert set(rows) == set(report.rows)
+        for depth, row in rows.items():
+            other = report.rows[depth]
             assert (row.tested, row.hits, row.misses, row.retired,
                     row.expanded) == (
                 other.tested, other.hits, other.misses, other.retired,
                 other.expanded), depth
-        # SearchTrace narration has no fan-out: totals stay None
-        assert from_trace.subspaces_created is None
-        assert from_trace.subspaces_pruned is None
-        assert from_spans.subspaces_created is not None
+        outputs = [e.length for e in search_events(tracer) if e.kind == "output"]
+        assert outputs == [p.length for p in paths]
+        assert report.subspaces_created is not None
 
-    def test_render_without_divisions_omits_fanout_columns(self, sj):
-        destinations = sj.categories.nodes_of("T2")
-        qg = build_query_graph(sj.graph, (3,), destinations)
-        trace = SearchTrace()
-        iter_bound(qg, 3, ZERO_BOUNDS, trace=trace)
-        text = SubspaceTreeReport.from_search_trace(trace).render()
+    def test_render_without_divisions_omits_fanout_columns(self):
+        snapshot = {
+            "spans": [span("test_lb", {"depth": 0, "verdict": "miss"})],
+            "evicted": 0,
+        }
+        text = SubspaceTreeReport.from_spans(snapshot).render()
         assert "children" not in text
         assert "tested" in text
 

@@ -359,19 +359,24 @@ class TestDisabledHotPath:
             assert result.trace is None
 
     def test_disabled_tracer_no_tracing_allocations(self, sj):
-        """tracemalloc sees zero allocations from tracing.py when off."""
+        """tracemalloc sees zero allocations from tracing.py or probe.py
+        when no probe is given."""
         import tracemalloc
 
+        import repro.obs.probe as probe_module
         import repro.obs.tracing as tracing_module
 
         solver = make_solver(sj)
         solver.top_k(3, category="T2", k=5)  # warm caches
-        trace_filter = tracemalloc.Filter(True, tracing_module.__file__)
+        filters = [
+            tracemalloc.Filter(True, module.__file__)
+            for module in (tracing_module, probe_module)
+        ]
         tracemalloc.start()
         try:
             solver.top_k(3, category="T2", k=5)
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
-        stats = snapshot.filter_traces([trace_filter]).statistics("filename")
+        stats = snapshot.filter_traces(filters).statistics("filename")
         assert stats == [], stats

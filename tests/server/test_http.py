@@ -17,7 +17,7 @@ import pytest
 from repro.core.kpj import KPJSolver
 from repro.datasets.registry import road_network
 from repro.obs.metrics import parse_prom
-from repro.server.http import _handle_query, serve_forever
+from repro.server.http import MAX_BODY_BYTES, _handle_query, serve_forever
 from repro.server.service import QueryService, ServiceOverloaded, WorkerDied
 from repro.server.shared import active_segments
 
@@ -157,6 +157,24 @@ class TestErrorMapping:
         )
         assert code == 400
         assert "Content-Length" in body["error"]
+
+    def test_oversized_body_is_413_unread(self, endpoint):
+        base, service = endpoint
+        before = set(active_segments())
+        # Only the head is sent: the server must answer from the
+        # declared length alone, without waiting for the body.
+        code, body = _raw(
+            base,
+            b"POST /query HTTP/1.1\r\nContent-Length: "
+            + str(MAX_BODY_BYTES + 1).encode()
+            + b"\r\n\r\n",
+        )
+        assert code == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+        status, health = _get(base + "/healthz")
+        assert status == 200
+        assert json.loads(health)["workers"] == service.workers
+        assert set(active_segments()) == before
 
     @pytest.mark.parametrize(
         "exc,code",
